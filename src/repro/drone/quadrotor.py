@@ -7,6 +7,13 @@ integrated with RK4.  The same model is linearized about hover to produce
 the MPC problem's (A, B) matrices, so the controller and the plant are
 consistent.
 
+One physics step runs in one of two bit-identical implementations: the
+scalar Python step below (the reference, used under the ``numpy`` and
+``numba`` kernel backends) or, under the ``c`` kernel backend, one call
+into the compiled tick of :mod:`repro.drone.tick_c`.  The kernel backend
+switch (:mod:`repro.tinympc.compiled`) installs the tick here through
+:func:`install_compiled_tick`.
+
 State layout (12,):
     [0:3]   position p = [x, y, z]           world frame, meters
     [3:6]   attitude  = [roll, pitch, yaw]   radians
@@ -26,7 +33,8 @@ import numpy as np
 
 from .variants import DroneParams, GRAVITY
 
-__all__ = ["QuadrotorState", "Quadrotor", "hover_state", "hover_input"]
+__all__ = ["QuadrotorState", "Quadrotor", "hover_state", "hover_input",
+           "install_compiled_tick", "compiled_tick", "CRASH_THRESHOLDS"]
 
 POSITION = slice(0, 3)
 ATTITUDE = slice(3, 6)
@@ -35,6 +43,27 @@ BODY_RATE = slice(9, 12)
 
 STATE_DIM = 12
 INPUT_DIM = 4
+
+#: ``has_crashed``'s default (max_tilt, min_altitude, max_distance).
+CRASH_THRESHOLDS = (1.2, -0.05, 25.0)
+
+# The compiled tick the active kernel backend provides (None: Python step).
+_compiled_tick = None
+
+
+def install_compiled_tick(tick) -> None:
+    """Route every plant's ``step`` through ``tick`` (``None``: Python).
+
+    Called by the kernel backend switch; plants rebind lazily at their
+    next step, so the switch may happen between any two ticks.
+    """
+    global _compiled_tick
+    _compiled_tick = tick
+
+
+def compiled_tick():
+    """The installed compiled tick, or ``None`` under the Python step."""
+    return _compiled_tick
 
 
 @dataclass
@@ -112,6 +141,13 @@ class Quadrotor:
     quantities the RK4 loop needs (mass, inertia, mixing matrix, thrust
     limit) are cached at ``__init__``.  Build a new :class:`Quadrotor` to
     fly a different variant rather than reassigning ``plant.params``.
+
+    The plant owns its ``state`` and ``rotor_thrusts`` arrays: assigning
+    either stores a copy.  The compiled tick updates them in place, so a
+    caller that keeps a reference across steps sees them change; use
+    :meth:`observe` (or ``.copy()``) for a snapshot.  Assigning ``state``,
+    ``rotor_thrusts`` or a disturbance takes effect on the next step under
+    either implementation.
     """
 
     def __init__(self, params: DroneParams, dt: float = 0.004,
@@ -121,6 +157,12 @@ class Quadrotor:
         self.params = params
         self.dt = dt
         self.rotor_dynamics = rotor_dynamics
+        # The compiled tick's view of this plant's arrays, built at its
+        # first compiled step and dropped whenever one of them is rebound.
+        self._binding = None
+        # has_crashed() at the default thresholds for the current state, as
+        # the compiled tick computed it (None: evaluate in Python).
+        self._verdict = None
         self.state = hover_state()
         self.rotor_thrusts = hover_input(params)
         self.time = 0.0
@@ -134,9 +176,43 @@ class Quadrotor:
         self._mass = float(params.mass)
         self._max_thrust = float(params.max_thrust_per_rotor())
 
+    # -- owned arrays ------------------------------------------------------------
+    @property
+    def state(self) -> np.ndarray:
+        return self._state
+
+    @state.setter
+    def state(self, value) -> None:
+        self._state = np.array(value, dtype=np.float64)
+        self._binding = None
+        self._verdict = None
+
+    @property
+    def rotor_thrusts(self) -> np.ndarray:
+        return self._rotors
+
+    @rotor_thrusts.setter
+    def rotor_thrusts(self, value) -> None:
+        self._rotors = np.array(value, dtype=np.float64)
+        self._binding = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_binding"] = None         # foreign pointers never travel
+        return state
+
+    def __copy__(self) -> "Quadrotor":
+        # The arrays the step writes in place must not be shared; a bound
+        # disturbance buffer stays shared (it is the caller's).
+        clone = type(self).__new__(type(self))
+        clone.__dict__.update(self.__getstate__())
+        clone._state = self._state.copy()
+        clone._rotors = self._rotors.copy()
+        return clone
+
     # -- configuration ---------------------------------------------------------
     def reset(self, state: Optional[np.ndarray] = None) -> np.ndarray:
-        self.state = hover_state() if state is None else np.asarray(state, float).copy()
+        self.state = hover_state() if state is None else state
         self.rotor_thrusts = hover_input(self.params)
         self.time = 0.0
         self.clear_disturbance()
@@ -149,6 +225,7 @@ class Quadrotor:
                                 else np.asarray(force, dtype=np.float64))
         self._external_torque = (np.zeros(3) if torque is None
                                  else np.asarray(torque, dtype=np.float64))
+        self._binding = None
 
     def bind_disturbance_buffers(self, force: np.ndarray,
                                  torque: np.ndarray) -> None:
@@ -163,16 +240,19 @@ class Quadrotor:
         """
         force = np.asarray(force)
         torque = np.asarray(torque)
-        if force.dtype != np.float64 or force.shape != (3,):
-            raise ValueError("force buffer must be a (3,) float64 array")
-        if torque.dtype != np.float64 or torque.shape != (3,):
-            raise ValueError("torque buffer must be a (3,) float64 array")
+        for name, buffer in (("force", force), ("torque", torque)):
+            if (buffer.dtype != np.float64 or buffer.shape != (3,)
+                    or not buffer.flags.c_contiguous):
+                raise ValueError("{} buffer must be a contiguous (3,) "
+                                 "float64 array".format(name))
         self._external_force = force
         self._external_torque = torque
+        self._binding = None
 
     def clear_disturbance(self) -> None:
         self._external_force = np.zeros(3)
         self._external_torque = np.zeros(3)
+        self._binding = None
 
     # -- dynamics ----------------------------------------------------------------
     def _derivatives_scalar(self, s, t0: float, t1: float, t2: float,
@@ -182,11 +262,12 @@ class Quadrotor:
 
         Written as scalar arithmetic (no intermediate matrix builds, numpy
         dispatch, or array allocation) because four of these run per RK4
-        step and the physics loop is the serial per-episode cost the fleet
-        engine cannot batch.  Expressions follow left-to-right dot-product
-        order; results agree with the matrix formulation to summation-order
-        round-off (~1e-14), and ``tests/drone/test_drone.py`` pins the
-        equivalence.  ``s`` is a 12-element sequence of floats.
+        step of every episode.  Expressions follow left-to-right
+        dot-product order; results agree with the matrix formulation to
+        summation-order round-off (~1e-14), and ``tests/drone/test_drone.py``
+        pins the equivalence.  The compiled tick (:mod:`repro.drone.tick_c`)
+        repeats these expressions operand for operand.  ``s`` is a
+        12-element sequence of floats.
         """
         mass = self._mass
         ixx, iyy, izz = self._inertia_tuple
@@ -258,14 +339,36 @@ class Quadrotor:
     def step(self, commanded_thrusts: np.ndarray) -> np.ndarray:
         """Advance the simulation by one physics timestep (RK4).
 
-        The whole step — thrust clipping, rotor lag, and the four-stage RK4
-        combination — runs as scalar Python arithmetic and allocates exactly
-        two small arrays (the new ``rotor_thrusts`` and ``state``).  Every
-        expression preserves the floating-point operation order of the
-        vectorized formulation it replaced (``clip`` is ``min(max(.))``,
-        the stage sums are evaluated left-to-right per element), so
-        trajectories are bit-for-bit unchanged.
+        Under the ``c`` kernel backend this is one call into the compiled
+        tick (:mod:`repro.drone.tick_c`), which also evaluates the default
+        crash predicate for :meth:`has_crashed`; otherwise it is
+        :meth:`_step_scalar`.  Both give bit-identical trajectories.
         """
+        tick = _compiled_tick
+        if tick is None:
+            return self._step_scalar(commanded_thrusts)
+        binding = self._binding
+        if binding is None or binding.tick is not tick:
+            binding = self._binding = tick.bind(self)
+        self._verdict = None             # stays cleared if the tick raises
+        self._verdict = binding.advance(commanded_thrusts, self.dt,
+                                        self.rotor_dynamics)
+        self.time += self.dt
+        return self._state.copy()
+
+    def _step_scalar(self, commanded_thrusts: np.ndarray) -> np.ndarray:
+        """The physics step as scalar Python arithmetic (the reference).
+
+        The whole step — thrust clipping, rotor lag, and the four-stage RK4
+        combination — allocates exactly two small arrays (the new
+        ``rotor_thrusts`` and ``state``).  Every expression preserves the
+        floating-point operation order of the vectorized formulation it
+        replaced (``clip`` is ``min(max(.))``, the stage sums are evaluated
+        left-to-right per element), so trajectories are bit-for-bit
+        unchanged.
+        """
+        self._binding = None     # both arrays are rebound below
+        self._verdict = None
         c = np.asarray(commanded_thrusts, dtype=np.float64)
         limit = self._max_thrust
         c0 = min(max(float(c[0]), 0.0), limit)
@@ -275,14 +378,14 @@ class Quadrotor:
         if self.rotor_dynamics:
             alpha = self.dt / max(self.params.motor_time_constant, self.dt)
             alpha = min(alpha, 1.0)
-            rotors = self.rotor_thrusts
+            rotors = self._rotors
             r0 = float(rotors[0]) + alpha * (c0 - float(rotors[0]))
             r1 = float(rotors[1]) + alpha * (c1 - float(rotors[1]))
             r2 = float(rotors[2]) + alpha * (c2 - float(rotors[2]))
             r3 = float(rotors[3]) + alpha * (c3 - float(rotors[3]))
         else:
             r0, r1, r2, r3 = c0, c1, c2, c3
-        self.rotor_thrusts = np.array((r0, r1, r2, r3))
+        self._rotors = np.array((r0, r1, r2, r3))
         t0 = min(max(r0, 0.0), limit)
         t1 = min(max(r1, 0.0), limit)
         t2 = min(max(r2, 0.0), limit)
@@ -299,7 +402,7 @@ class Quadrotor:
         dt = self.dt
         half = 0.5 * dt
         sixth = dt / 6.0
-        s = self.state.tolist()
+        s = self._state.tolist()
         k1 = deriv(s, t0, t1, t2, t3, fx, fy, fz, ex, ey, ez)
         stage = [a + half * b for a, b in zip(s, k1)]
         k2 = deriv(stage, t0, t1, t2, t3, fx, fy, fz, ex, ey, ez)
@@ -307,38 +410,47 @@ class Quadrotor:
         k3 = deriv(stage, t0, t1, t2, t3, fx, fy, fz, ex, ey, ez)
         stage = [a + dt * b for a, b in zip(s, k3)]
         k4 = deriv(stage, t0, t1, t2, t3, fx, fy, fz, ex, ey, ez)
-        self.state = np.array(
+        self._state = np.array(
             [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)])
         self.time += dt
-        return self.state.copy()
+        return self._state.copy()
 
     # -- observation helpers -------------------------------------------------------
     @property
     def position(self) -> np.ndarray:
-        return self.state[POSITION].copy()
+        return self._state[POSITION].copy()
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.state[VELOCITY].copy()
+        return self._state[VELOCITY].copy()
 
     @property
     def attitude(self) -> np.ndarray:
-        return self.state[ATTITUDE].copy()
+        return self._state[ATTITUDE].copy()
 
     def observe(self) -> np.ndarray:
         """Full-state observation (the HIL setup transmits this over UART)."""
-        return self.state.copy()
+        return self._state.copy()
 
-    def has_crashed(self, max_tilt: float = 1.2, min_altitude: float = -0.05,
-                    max_distance: float = 25.0) -> bool:
+    def has_crashed(self, max_tilt: float = CRASH_THRESHOLDS[0],
+                    min_altitude: float = CRASH_THRESHOLDS[1],
+                    max_distance: float = CRASH_THRESHOLDS[2]) -> bool:
         """Heuristic crash detector: excessive tilt, ground hit, or fly-away.
 
         Runs once per physics tick, so the common all-clear path sticks to
         scalar reads; the distance check is ``sqrt(p . p)`` — bit-identical
         to ``np.linalg.norm`` for a real 1-D vector, minus the wrapper.
+        After a compiled tick, the default thresholds return the verdict
+        the tick computed for the state it wrote; assigning ``state``
+        clears it.  (Element writes into ``plant.state`` between a step and
+        this call are not seen by that verdict: assign the state instead.)
         """
-        state = self.state
+        verdict = self._verdict
+        if verdict is not None and (
+                max_tilt, min_altitude, max_distance) == CRASH_THRESHOLDS:
+            return verdict
+        state = self._state
         if abs(float(state[3])) > max_tilt or abs(float(state[4])) > max_tilt:
             return True
         if float(state[2]) < min_altitude:

@@ -2,17 +2,19 @@
 
 The RK4 step, crash detector, and actuation-power evaluation in
 :mod:`repro.drone.quadrotor` / :mod:`repro.drone.rotor` were rewritten as
-allocation-free scalar arithmetic for the fleet engine (the physics loop is
-the serial per-episode cost batching cannot touch).  The vectorized
-formulations they replaced live here, verbatim, for two purposes:
+allocation-free scalar arithmetic for the fleet engine, and the ``c``
+kernel backend goes one step further and runs the step as one compiled
+call per tick (:mod:`repro.drone.tick_c`).  The vectorized formulations
+they replaced live here, verbatim, for two purposes:
 
-* **Bit-for-bit regression proof** — ``tests/drone/test_drone.py`` steps a
-  plant through both implementations and asserts identical trajectories
-  (``==``, no tolerances): the rewrite preserved every floating-point
-  operation order.
+* **Bit-for-bit regression proof** — ``tests/drone/test_physics_reference.py``
+  steps plants through the implementations and asserts identical
+  trajectories (``==``, no tolerances): the rewrites preserved every
+  floating-point operation order.
 * **"Current main" benchmarking** — :func:`use_vectorized_physics` swaps
   these back in so the perf harness (:mod:`repro.bench`) can time a fleet
-  campaign exactly as pre-refactor main ran it.
+  campaign exactly as pre-refactor main ran it.  The swap replaces
+  ``Quadrotor.step`` itself, so it routes around the compiled tick too.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ to sequential scalar solves.  This scheduler removes that restriction:
   MPC problem content (:func:`~repro.tinympc.problem.problem_hash`) and
   identical :class:`~repro.tinympc.solver.SolverSettings` — and dispatches
   each group as one :class:`~repro.tinympc.batch.BatchTinyMPCSolver` call;
-* per-episode warm-start state lives outside the solver and is loaded into
-  batch slots per dispatch (``import_slot`` / ``export_slot``), so episodes
-  keep their warm starts even when they share slots across dispatches.
+* every episode keeps a batch slot for its lifetime, so its warm-start
+  state stays resident in the batched workspace and each dispatch solves
+  only the requesting slots; only a ``max_batch``-capped group, which has
+  fewer slots than episodes, hands slots over, parking the evicted
+  episode's state outside the solver (``export_slot`` / ``import_slot``).
 
 Episodes never interact physically, so a solve request is causally
 independent of every other episode's requests: the batcher is free to pack
@@ -302,11 +304,18 @@ class _ScalarGroup:
 class _BatchGroup:
     """Solver group backed by one fixed-width batched solver.
 
-    Episodes outnumbering the batch capacity share slots: each dispatch
-    loads the warm-start state of the episodes it packs into slots
-    (``import_slot``), solves the batch with the leading slots active, and
-    exports the carried state back out (``export_slot``).  The round-trip
-    copies raw workspace rows, so slot sharing is numerically invisible.
+    Each episode keeps a solver slot for as long as it can, so its
+    warm-start state stays resident in the batched workspace: a dispatch
+    fills the requesting episodes' slots and solves with only those slots
+    ``active``, which leaves every other slot's state untouched.  A group
+    whose capacity covers its population (``max_batch=None``) therefore
+    never copies warm-start state.  Under a ``max_batch`` cap an episode
+    without a slot takes a free one or evicts a holder outside the current
+    dispatch: the holder's state is parked with ``export_slot`` and the
+    newcomer's loaded with ``import_slot``.  Either way a dispatch holds
+    the same requests, and a slot's arithmetic depends neither on its
+    index nor on the other slots, so slot placement is numerically
+    invisible.
     """
 
     def __init__(self, problem: MPCProblem, settings: SolverSettings,
@@ -321,41 +330,69 @@ class _BatchGroup:
         else:
             self.solver = BatchTinyMPCSolver(problem, capacity, settings,
                                              cache or compute_cache(problem))
-        self._carried: Dict[int, Dict[str, np.ndarray]] = {}
+        self._slot_of: Dict[int, int] = {}
+        self._holder: List[Optional[int]] = [None] * capacity
+        # A slot no episode has used yet is in the reset (cold) state that
+        # ``import_slot(None)`` would write, so taking it needs no copy.
+        self._cold = [True] * capacity
+        self._parked: Dict[int, Dict[str, np.ndarray]] = {}
         self._x0 = np.zeros((capacity, problem.state_dim))
         self._goal = np.zeros((capacity, problem.state_dim))
         self._active = np.zeros(capacity, dtype=bool)
+
+    def _seat(self, chunk: Sequence[SolveRequest]) -> None:
+        """Give every episode of ``chunk`` a slot (lowest free first)."""
+        homeless = [r.episode for r in chunk if r.episode not in self._slot_of]
+        if not homeless:
+            return
+        holders = self._holder
+        dispatched = {r.episode for r in chunk}
+        free = [s for s, h in enumerate(holders) if h is None]
+        evictable = [s for s, h in enumerate(holders)
+                     if h is not None and h not in dispatched]
+        for episode, slot in zip(homeless, free + evictable):
+            holder = holders[slot]
+            if holder is not None:
+                self._parked[holder] = self.solver.export_slot(
+                    slot, out=self._parked.get(holder))
+                del self._slot_of[holder]
+            state = self._parked.get(episode)
+            if state is not None or not self._cold[slot]:
+                self.solver.import_slot(slot, state)
+            self._cold[slot] = False
+            holders[slot] = episode
+            self._slot_of[episode] = slot
 
     def solve(self, requests: Sequence[SolveRequest], stats: SchedulerStats
               ) -> Dict[int, Tuple[np.ndarray, int]]:
         responses = {}
         for start in range(0, len(requests), self.capacity):
             chunk = requests[start:start + self.capacity]
-            width = len(chunk)
-            for slot, request in enumerate(chunk):
-                self.solver.import_slot(slot, self._carried.get(request.episode))
+            self._seat(chunk)
+            self._active[:] = False
+            for request in chunk:
+                slot = self._slot_of[request.episode]
                 self._x0[slot] = request.x0
                 self._goal[slot] = request.goal
-            self._active[:] = False
-            self._active[:width] = True
+                self._active[slot] = True
             solution = self.solver.solve(self._x0, Xref=self._goal,
                                          active=self._active)
-            for slot, request in enumerate(chunk):
+            for request in chunk:
+                slot = self._slot_of[request.episode]
                 responses[request.episode] = (
                     solution.inputs[slot, 0].copy(),
                     int(solution.iterations[slot]))
-                # Re-export into the episode's carried arrays in place; a
-                # fresh snapshot is allocated only on first export.
-                self._carried[request.episode] = self.solver.export_slot(
-                    slot, out=self._carried.get(request.episode))
             stats.dispatches += 1
-            stats.batched_solves += width
-            stats.batch_widths.append(width)
+            stats.batched_solves += len(chunk)
+            stats.batch_widths.append(len(chunk))
         stats.solves += len(requests)
         return responses
 
     def release(self, episode_id: int) -> None:
-        self._carried.pop(episode_id, None)
+        slot = self._slot_of.pop(episode_id, None)
+        if slot is not None:
+            self._holder[slot] = None
+        self._parked.pop(episode_id, None)
 
     def close(self) -> None:
         """Return the solver to the pool (the group must not solve again)."""
@@ -375,7 +412,8 @@ class FleetScheduler:
             identical to sequential :meth:`HILLoop.run_scenario` calls.
         max_batch: cap on batch width (slots); groups larger than this share
             slots across dispatches.  ``None`` sizes each group's solver to
-            its population for maximal throughput.
+            its population, so every episode keeps its own slot and no
+            warm-start state is ever copied.
         pool: the :class:`SolverPool` batched groups draw their solvers
             from and return them to after the run, so repeated campaigns
             reuse workspace arenas instead of reallocating them.  Defaults

@@ -24,12 +24,12 @@ iteration counts and the warm-start state carried into the next solve.
 
 The ``active`` mask of :meth:`BatchTinyMPCSolver.solve` additionally lets a
 caller solve only a subset of instances while the rest keep their
-warm-start state untouched, and :meth:`BatchTinyMPCSolver.export_slot` /
-:meth:`~BatchTinyMPCSolver.import_slot` let a caller park per-instance
-state outside the solver entirely — together these are what the fleet
-scheduler (:mod:`repro.fleet.scheduler`) uses to pack heterogeneous HIL
-episodes into fixed-width dispatches while every episode keeps its own
-warm start.
+warm-start state untouched.  The fleet scheduler (:mod:`repro.fleet
+.scheduler`) relies on it to keep each HIL episode's warm start resident
+in a slot of its own and solve only the requesting slots per dispatch.
+:meth:`BatchTinyMPCSolver.export_slot` / :meth:`~BatchTinyMPCSolver
+.import_slot` park per-instance state outside the solver; the scheduler
+uses them only when a ``max_batch`` cap leaves fewer slots than episodes.
 """
 
 from __future__ import annotations
@@ -235,13 +235,13 @@ class BatchTinyMPCSolver:
 
     # -- slot virtualization -------------------------------------------------
     #
-    # The fleet scheduler (:mod:`repro.fleet.scheduler`) packs *more* episodes
-    # than the solver has slots: each dispatch loads the warm-start state of
-    # the episodes it is about to solve into slots, solves, and exports the
-    # state back out.  Because the export/import round-trip copies the raw
-    # workspace rows bit-for-bit, a slot-virtualized solve sequence is
-    # numerically identical to giving every episode a persistent slot of the
-    # same batch width.
+    # When the fleet scheduler (:mod:`repro.fleet.scheduler`) runs *more*
+    # episodes than the solver has slots (a ``max_batch`` cap), an episode
+    # that needs a slot evicts one whose holder is not being solved: the
+    # holder's warm-start state is exported, the newcomer's imported.
+    # Because the export/import round-trip copies the raw workspace rows
+    # bit-for-bit, a slot-virtualized solve sequence is numerically
+    # identical to giving every episode a persistent slot.
 
     def export_slot(self, index: int,
                     out: Optional[Dict[str, np.ndarray]] = None

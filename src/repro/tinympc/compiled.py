@@ -8,8 +8,14 @@ in the naive reference).  This module reuses the same seam to install a
 * ``numba`` — :mod:`repro.tinympc.compiled_numba`, ``@njit(cache=True)``
   fused iterations (needs the optional numba package),
 * ``c``     — :mod:`repro.tinympc.compiled_c`, shape-specialized C built at
-  first use with the system compiler and called through cffi,
+  first use with the system compiler and called through cffi, together
+  with the compiled quadrotor tick (:mod:`repro.drone.tick_c`) that
+  ``Quadrotor.step`` runs while this backend is installed,
 * ``numpy`` — the allocation-free numpy fast path (always available).
+
+The ``c`` backend is one unit: its probe builds (or loads) both the ADMM
+kernels and the plant tick, and if either fails neither is installed.
+Under ``numpy`` and ``numba`` the plant keeps its scalar Python step.
 
 Selection order for ``auto`` is numba → c → numpy: numba is primary when
 importable, the C backend is the fallback compiled path, and numpy is the
@@ -96,7 +102,9 @@ def _probe(name: str) -> Tuple[Optional[object], str]:
         else:
             try:
                 impl = load_c_backend()
-                detail = "cc={cc} {cflags}".format(**impl.info())
+                plant = impl.plant_tick.info()
+                detail = "cc={cc} {cflags}".format(**impl.info()) + \
+                    "; plant tick {tag} {cflags}".format(**plant)
             except CBackendUnavailable as exc:
                 detail = str(exc)
     else:
@@ -136,6 +144,8 @@ def resolve_backend(name: str = "auto"):
 def install_backend(impl) -> None:
     """Install a compiled kernel set (or restore numpy with ``None``)."""
     global _active_name, _active_impl
+    from ..drone.quadrotor import install_compiled_tick
+    install_compiled_tick(getattr(impl, "plant_tick", None))
     if impl is None:
         for attr, original in _NUMPY_IMPLS.items():
             setattr(_kernels, attr, original)
@@ -155,8 +165,10 @@ def use_compiled_kernels(backend: str = "auto"):
     resolved backend name.  Not thread-safe (module-level swap).
     """
     global _active_name, _active_impl
+    from ..drone.quadrotor import compiled_tick, install_compiled_tick
     saved = [(attr, getattr(_kernels, attr)) for attr in _DISPATCH_ATTRS]
     saved_state = (_active_name, _active_impl)
+    saved_tick = compiled_tick()
     impl, resolved = resolve_backend(backend)
     try:
         install_backend(impl)
@@ -165,6 +177,7 @@ def use_compiled_kernels(backend: str = "auto"):
         for attr, original in saved:
             setattr(_kernels, attr, original)
         _active_name, _active_impl = saved_state
+        install_compiled_tick(saved_tick)
 
 
 def active_backend() -> str:
@@ -191,6 +204,12 @@ def kernel_backend_info() -> Dict[str, object]:
     }
     if _active_impl is not None and hasattr(_active_impl, "info"):
         info["detail"] = _active_impl.info()
+    from ..drone.quadrotor import compiled_tick
+    tick = compiled_tick()
+    # Which plant step campaigns fly: the compiled tick (with the library
+    # tag, compiler and flags it was built with) or the Python reference.
+    info["plant"] = ({"step": "c", **tick.info()} if tick is not None
+                     else {"step": "python"})
     return info
 
 

@@ -51,6 +51,17 @@ already know.  Accuracy caveats are documented in ``docs/perf.md``.
 
 Threading is opt-in via ``REPRO_KERNEL_THREADS`` (OpenMP across the batch
 dimension; instances are independent, so threading never changes results).
+
+The plant tick
+--------------
+
+The backend also builds the quadrotor physics tick
+(:func:`load_plant_tick`, source in :mod:`repro.drone.tick_c`) through
+the same cached build path (:func:`_build_shared`): one library for every
+plant, since parameters travel in a per-plant struct rather than being
+baked in.  It is bit-identical to the scalar Python step; see
+:mod:`repro.drone.tick_c` for that contract and the extra
+``-fno-builtin`` flag it needs.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ from .cache import LQRCache
 from .workspace import TinyMPCWorkspace
 
 __all__ = ["CBackendUnavailable", "CKernels", "load_c_backend",
-           "default_thread_count", "kernel_cache_dir"]
+           "load_plant_tick", "default_thread_count", "kernel_cache_dir"]
 
 
 class CBackendUnavailable(RuntimeError):
@@ -555,43 +566,49 @@ _ffi = None
 def _get_ffi():
     global _ffi
     if _ffi is None:
-        try:
-            import cffi
-        except ImportError as exc:
-            raise CBackendUnavailable("cffi is not installed") from exc
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        _ffi = ffi
+        _ffi = _new_ffi(_CDEF)
     return _ffi
 
 
-_LIBS: Dict[Tuple[int, int, int], object] = {}
-_BUILD_DETAIL: Dict[str, str] = {}
+def _new_ffi(cdef: str):
+    try:
+        import cffi
+    except ImportError as exc:
+        raise CBackendUnavailable("cffi is not installed") from exc
+    ffi = cffi.FFI()
+    ffi.cdef(cdef)
+    return ffi
 
 
-def _build_library(n: int, m: int, N: int):
-    ffi = _get_ffi()
+def _build_shared(stem: str, source: str, ffi,
+                  flag_sets: Tuple[Tuple[str, ...], ...]
+                  ) -> Tuple[object, Dict[str, str]]:
+    """Build ``source`` into ``kernel_cache_dir()/<stem>_<tag>.so``; dlopen it.
+
+    ``tag`` hashes the source, compiler, flags and platform, so a cached
+    library is reused only for exactly what it was built from.  Flag sets
+    are tried in order until one compiles.  Returns the library and its
+    build detail (``cc``, ``cflags``, ``tag``).
+    """
     cc = _compiler()
     if cc is None:
         raise CBackendUnavailable("no C compiler found (cc/gcc/clang)")
-    source = _render_source(n, m, N)
     cache = kernel_cache_dir()
     last_error = None
-    for flags in _flag_candidates():
+    for flags in flag_sets:
         tag = hashlib.sha256("\x00".join(
             (source, cc, " ".join(flags), platform.machine(), sys.platform)
         ).encode()).hexdigest()[:16]
-        so_path = cache / "admm_{}x{}x{}_{}.so".format(n, m, N, tag)
+        so_path = cache / "{}_{}.so".format(stem, tag)
+        detail = {"cc": cc, "cflags": " ".join(flags), "tag": tag}
         if so_path.exists():
-            _BUILD_DETAIL["flags"] = " ".join(flags)
-            _BUILD_DETAIL["cc"] = cc
-            return ffi.dlopen(str(so_path))
+            return ffi.dlopen(str(so_path)), detail
         try:
             cache.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(dir=str(cache)) as tmp:
-                c_path = Path(tmp) / "admm.c"
+                c_path = Path(tmp) / (stem + ".c")
                 c_path.write_text(source)
-                out_path = Path(tmp) / "admm.so"
+                out_path = Path(tmp) / (stem + ".so")
                 result = subprocess.run(
                     [cc, *flags, str(c_path), "-o", str(out_path), "-lm"],
                     capture_output=True, text=True, timeout=120)
@@ -599,23 +616,52 @@ def _build_library(n: int, m: int, N: int):
                     last_error = result.stderr.strip()[-500:]
                     continue
                 os.replace(str(out_path), str(so_path))   # atomic publish
-            _BUILD_DETAIL["flags"] = " ".join(flags)
-            _BUILD_DETAIL["cc"] = cc
-            return ffi.dlopen(str(so_path))
+            return ffi.dlopen(str(so_path)), detail
         except (OSError, subprocess.SubprocessError) as exc:
             last_error = str(exc)
             continue
-    raise CBackendUnavailable(
-        "C kernel build failed with every flag set: {}".format(last_error))
+    raise CBackendUnavailable("{} build failed with every flag set: {}"
+                              .format(stem, last_error))
+
+
+_LIBS: Dict[Tuple[int, int, int], object] = {}
+_BUILD_DETAIL: Dict[str, str] = {}
 
 
 def _library_for(n: int, m: int, N: int):
     key = (n, m, N)
     lib = _LIBS.get(key)
     if lib is None:
-        lib = _build_library(n, m, N)
+        lib, detail = _build_shared(
+            "admm_{}x{}x{}".format(n, m, N), _render_source(n, m, N),
+            _get_ffi(), _flag_candidates())
+        _BUILD_DETAIL.update(cc=detail["cc"], flags=detail["cflags"])
         _LIBS[key] = lib
     return lib
+
+
+_PLANT_TICK = None
+
+
+def load_plant_tick():
+    """Build (or load from cache) the compiled quadrotor tick.
+
+    One library serves every plant: parameters travel in the per-plant
+    struct, so no variant, mass mismatch or time step ever triggers a
+    build.  ``-fno-builtin`` is part of the numerical contract (see
+    :mod:`repro.drone.tick_c`).  Raises :class:`CBackendUnavailable`.
+    """
+    global _PLANT_TICK
+    if _PLANT_TICK is None:
+        from ..drone import tick_c
+
+        ffi = _new_ffi(tick_c.CDEF)
+        flag_sets = tuple(flags + ("-fno-builtin",)
+                          for flags in _flag_candidates())
+        lib, detail = _build_shared("plant_tick", tick_c.SOURCE, ffi,
+                                    flag_sets)
+        _PLANT_TICK = tick_c.PlantTick(lib, ffi, detail)
+    return _PLANT_TICK
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +796,10 @@ class CKernels:
     def __init__(self) -> None:
         # Fail fast at construction if the toolchain is unusable: building
         # the paper's reference shape proves compiler + loader end to end.
+        # The plant tick is part of the backend: if it cannot be built,
+        # neither half is installed.
         _library_for(12, 4, 10)
+        self.plant_tick = load_plant_tick()
 
     @staticmethod
     def info() -> Dict[str, object]:

@@ -9,7 +9,14 @@ The contract under test (see :mod:`repro.fleet.scheduler`):
   counts, solve times, flight times) are exactly equal and float metrics
   agree to GEMM round-off;
 * repeated runs are bit-for-bit identical, including across
-  ``PYTHONHASHSEED`` values (exercised via subprocesses).
+  ``PYTHONHASHSEED`` values (exercised via subprocesses);
+* warm-start state stays resident: a group whose capacity covers its
+  population never copies a slot, and a ``max_batch`` cap, which makes
+  episodes hand slots over, changes no bit of any result on the numpy or
+  the c backend.
+
+When ``REPRO_KERNEL_BACKEND=c`` is set, a ``c`` backend that does not
+resolve fails the c-backend cases instead of skipping them.
 """
 
 import os
@@ -28,6 +35,8 @@ from repro.fleet import (
     run_campaign,
 )
 from repro.hil import HILConfig, HILLoop
+from repro.tinympc import (BatchTinyMPCSolver, available_backends,
+                           use_compiled_kernels)
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -157,6 +166,86 @@ class TestSchedulerMechanics:
         assert 0 < stats.mean_batch_width <= stats.max_batch_width
         row = stats.as_row()
         assert row["episodes"] == 2 and row["dispatches"] == stats.dispatches
+
+
+def _backend(name):
+    """Install ``name`` for a block; ``c`` must resolve when requested."""
+    from repro.tinympc.compiled import resolve_backend
+    if name != "numpy" and resolve_backend(name)[0] is None:
+        reason = "{} backend unavailable: {}".format(
+            name, available_backends()[name])
+        requested = os.environ.get("REPRO_KERNEL_BACKEND", "").lower()
+        if requested == name:
+            pytest.fail(reason)
+        pytest.skip(reason)
+    return use_compiled_kernels(name)
+
+
+@pytest.fixture
+def slot_copies(monkeypatch):
+    """Count ``import_slot``/``export_slot`` calls on batched solvers."""
+    calls = {"import_slot": 0, "export_slot": 0}
+    for name in calls:
+        original = getattr(BatchTinyMPCSolver, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchTinyMPCSolver, name, counted)
+    return calls
+
+
+# Waypoint and recovery episodes over two compatibility groups (the two
+# control rates); episodes of different lengths finish at different ticks,
+# so slots free up mid-run.
+RESIDENT = (MIXED.expand()[:10] + CampaignSpec(
+    name="resident-recovery", episode_kind="recovery",
+    disturbance_categories=("force",), disturbance_kinds=("step",),
+    mass_scales=(1.0, 1.3)).expand()[:6])
+
+
+def _result_bits(result):
+    fields = ("success", "crashed", "final_distance", "actuation_power_w",
+              "soc_power_w", "flight_time_s", "solve_iterations",
+              "solve_times", "recovered", "time_to_recovery",
+              "max_deviation")
+    return tuple(repr(getattr(result, name, None)) for name in fields)
+
+
+class TestResidentSlots:
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_covering_capacity_copies_nothing_and_capping_is_invisible(
+            self, backend, slot_copies):
+        with _backend(backend):
+            resident = run_campaign(RESIDENT)
+            assert resident.stats.batched_solves > 0
+            assert slot_copies == {"import_slot": 0, "export_slot": 0}
+            capped = run_campaign(RESIDENT, max_batch=2)
+        assert capped.stats.max_batch_width <= 2
+        # The cap really made episodes hand their slots over...
+        assert slot_copies["import_slot"] > 0
+        assert slot_copies["export_slot"] > 0
+        # ...and no bit of any result moved.
+        assert ([_result_bits(r) for r in capped.results]
+                == [_result_bits(r) for r in resident.results])
+
+    def test_capped_group_round_trips_warm_starts(self, slot_copies):
+        """Every eviction parks state that a later import restores: with
+        more episodes than slots, each dispatch still warm-starts."""
+        factory = EpisodeFactory()
+        episodes = [factory.build(EpisodeSpec(Difficulty.EASY, seed), seed)
+                    for seed in range(5)]
+        scheduler = FleetScheduler(episodes, max_batch=2)
+        results = scheduler.run()
+        assert scheduler.stats.max_batch_width == 2
+        assert slot_copies["export_slot"] > 0
+        # Imports are parked states coming back plus cold slots reused.
+        assert slot_copies["import_slot"] >= slot_copies["export_slot"]
+        reference = sequential_reference(
+            [EpisodeSpec(Difficulty.EASY, seed) for seed in range(5)])
+        for expected, result in zip(reference, results):
+            assert_discrete_exact(expected, result)
 
 
 _HASHSEED_PROBE = r"""

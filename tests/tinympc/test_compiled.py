@@ -95,6 +95,41 @@ class TestBackendSelection:
             assert isinstance(info["supports_float32"], bool)
         assert active_backend() == "numpy"
 
+    def test_c_backend_installs_its_plant_tick(self):
+        from repro.drone.quadrotor import compiled_tick
+        if resolve_backend("c")[0] is None:
+            pytest.skip("c backend unavailable")
+        assert kernel_backend_info()["plant"] == {"step": "python"}
+        with use_compiled_kernels("c"):
+            assert compiled_tick() is not None
+            plant = kernel_backend_info()["plant"]
+            assert plant["step"] == "c" and len(plant["tag"]) == 16
+            assert "-ffp-contract=off" in plant["cflags"]
+            assert "-fno-builtin" in plant["cflags"]
+            with use_compiled_kernels("numpy"):
+                assert compiled_tick() is None
+            assert compiled_tick() is not None
+        assert compiled_tick() is None
+
+    def test_plant_tick_failure_disables_the_whole_c_backend(self,
+                                                            monkeypatch):
+        from repro.drone.quadrotor import compiled_tick
+        from repro.tinympc import compiled, compiled_c
+
+        def broken():
+            raise compiled_c.CBackendUnavailable(
+                "plant_tick build failed with every flag set: simulated")
+
+        if resolve_backend("c")[0] is None:
+            pytest.skip("c backend unavailable")
+        monkeypatch.setattr(compiled_c, "load_plant_tick", broken)
+        monkeypatch.setattr(compiled, "_probe_cache", {})
+        assert resolve_backend("c") == (None, "numpy")
+        assert "plant_tick build failed" in available_backends()["c"]
+        with use_compiled_kernels("c") as name:
+            assert name == "numpy" and active_backend() == "numpy"
+            assert compiled_tick() is None
+
     @needs_compiled
     def test_naive_swap_neutralizes_compiled_backend(self):
         """``use_naive_kernels`` inside a compiled context must route every
