@@ -16,7 +16,13 @@ to sequential scalar solves.  This scheduler removes that restriction:
   state stays resident in the batched workspace and each dispatch solves
   only the requesting slots; only a ``max_batch``-capped group, which has
   fewer slots than episodes, hands slots over, parking the evicted
-  episode's state outside the solver (``export_slot`` / ``import_slot``).
+  episode's state outside the solver (``export_slot`` / ``import_slot``);
+* on the c kernel backend a dispatch is one foreign call in which each
+  requesting slot iterates until its own termination; numpy runs the
+  whole batch every iteration and masks the slots that are done (see
+  :mod:`repro.tinympc.batch`).  Each slot gets its own goal in the
+  explicit ``(B, N, n)`` reference form, so no group width can be
+  mistaken for the horizon.
 
 Episodes never interact physically, so a solve request is causally
 independent of every other episode's requests: the batcher is free to pack
@@ -337,7 +343,10 @@ class _BatchGroup:
         self._cold = [True] * capacity
         self._parked: Dict[int, Dict[str, np.ndarray]] = {}
         self._x0 = np.zeros((capacity, problem.state_dim))
-        self._goal = np.zeros((capacity, problem.state_dim))
+        # Per-slot references in the explicit (B, N, n) form: a (B, n) goal
+        # array is ambiguous when the width equals the horizon, and the
+        # workspace then reads it as one trajectory shared by every slot.
+        self._goal = np.zeros((capacity, problem.horizon, problem.state_dim))
         self._active = np.zeros(capacity, dtype=bool)
 
     def _seat(self, chunk: Sequence[SolveRequest]) -> None:

@@ -179,11 +179,11 @@ class EpisodeRunner:
         goal[0:3] = position
         return goal
 
-    def _solve_latency(self, iterations: int) -> float:
-        """End-to-end latency from state sample to applied command."""
+    def _solve_latency(self, compute: float) -> float:
+        """End-to-end latency from state sample to applied command, given
+        the solve's compute time on the SoC."""
         if self.config.is_ideal:
             return 0.0
-        compute = self.soc.solve_latency(iterations)
         return (self.config.uart.downlink_latency + compute
                 + self.config.uart.uplink_latency)
 
@@ -215,6 +215,9 @@ class EpisodeRunner:
             duration = scenario.duration
 
         hover = hover_input(self.params)
+        # One command buffer per episode, rewritten in place on every
+        # applied solve: the compiled plant tick keeps reading through the
+        # same pointer instead of re-taking it for a fresh array.
         command = hover.copy()
         pending_command: Optional[np.ndarray] = None
         pending_ready_time = 0.0
@@ -245,7 +248,7 @@ class EpisodeRunner:
             time = step * config.physics_dt
             # Apply a completed solve.
             if pending_command is not None and time >= pending_ready_time:
-                command = hover + pending_command
+                np.add(hover, pending_command, out=command)
                 pending_command = None
             # Kick off a new solve at control ticks once the solver is free.
             if time >= next_control_time and time >= solver_free_time:
@@ -257,14 +260,14 @@ class EpisodeRunner:
                     sampled = observer.observe(sampled)
                 control, iterations = yield SolveRequest(
                     self.episode_id, time, sampled, goal)
-                latency = self._solve_latency(iterations)
                 compute_only = (0.0 if config.is_ideal
                                 else self.soc.solve_latency(iterations))
+                latency = self._solve_latency(compute_only)
                 solve_times.append(compute_only)
                 solve_iterations.append(iterations)
                 compute_busy_time += compute_only
                 if config.is_ideal:
-                    command = hover + control
+                    np.add(hover, control, out=command)
                 else:
                     pending_command = control
                     pending_ready_time = time + latency

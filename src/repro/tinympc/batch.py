@@ -14,19 +14,30 @@ reductions as single vectorized numpy calls through the *same* kernel
 functions the scalar solver uses (:mod:`repro.tinympc.kernels`) — a batch
 dimension of one is the existing solver.
 
-Per-instance convergence is handled by masking: every iteration runs the
-whole batch, but the moment an instance satisfies the termination test its
-buffers are snapshotted, and after the loop those snapshots are restored.
-The result is numerically equivalent to stopping that instance's iteration
-early, so batched and sequential solves agree to tight tolerances
+Every instance stops at its own termination.  How depends on the kernel
+backend, through the one dispatch point :func:`repro.tinympc.kernels
+.solve_rows`:
+
+* numpy (and numba, and float32 on c) masks: every iteration runs the
+  whole batch, because vectorizing over the batch is what makes numpy
+  fast, and the moment an instance satisfies the termination test its
+  buffers are snapshotted; after the loop those snapshots are restored;
+* the c backend solves each requesting instance to its own termination
+  inside one foreign call, so a converged or inactive row costs nothing.
+
+Both leave every instance exactly as stopping its iteration early would,
+bit for bit the same on the c backend (``tests/tinympc/test_solve_rows
+.py``), so batched and sequential solves agree to tight tolerances
 (``tests/tinympc/test_batch.py`` asserts ``rtol=1e-10``), including
 iteration counts and the warm-start state carried into the next solve.
 
 The ``active`` mask of :meth:`BatchTinyMPCSolver.solve` additionally lets a
 caller solve only a subset of instances while the rest keep their
-warm-start state untouched.  The fleet scheduler (:mod:`repro.fleet
-.scheduler`) relies on it to keep each HIL episode's warm start resident
-in a slot of its own and solve only the requesting slots per dispatch.
+warm-start state untouched: only the active rows' references, initial
+states, cold-start zeroing and input clip are written.  The fleet
+scheduler (:mod:`repro.fleet.scheduler`) relies on it to keep each HIL
+episode's warm start resident in a slot of its own and solve only the
+requesting slots per dispatch.
 :meth:`BatchTinyMPCSolver.export_slot` / :meth:`~BatchTinyMPCSolver
 .import_slot` park per-instance state outside the solver; the scheduler
 uses them only when a ``max_batch`` cap leaves fewer slots than episodes.
@@ -50,7 +61,7 @@ from .workspace import (
     BatchTinyMPCWorkspace,
 )
 
-__all__ = ["BatchTinyMPCSolution", "BatchTinyMPCSolver"]
+__all__ = ["BatchTinyMPCSolution", "BatchTinyMPCSolver", "RowSolveBuffers"]
 
 
 @dataclass
@@ -120,17 +131,7 @@ class BatchTinyMPCSolver:
         self.workspace = BatchTinyMPCWorkspace(problem, batch=batch_size)
         _apply_compute_dtype(self.workspace, self.settings)
         self._warm = np.zeros(batch_size, dtype=bool)
-        # Freeze/restore scratch: converged (or inactive) instances park
-        # their state here while the rest of the batch keeps iterating.
-        self._store = {name: np.empty_like(getattr(self.workspace, name))
-                       for name in WORKSPACE_BUFFERS}
-        self._residual_store = {name: np.full(batch_size, np.inf)
-                                for name in RESIDUAL_FIELDS}
-        # Preallocated per-iteration mask scratch so the steady-state solve
-        # loop allocates nothing (see the zero-allocation benchmark).
-        self._live = np.empty(batch_size, dtype=bool)
-        self._newly = np.empty(batch_size, dtype=bool)
-        self._term_scratch = np.empty(batch_size, dtype=bool)
+        self._rows = RowSolveBuffers(self.workspace, self.settings)
         self.total_batch_solves = 0
         self.total_instance_solves = 0
         self.total_iterations = 0
@@ -164,72 +165,54 @@ class BatchTinyMPCSolver:
         ws = self.workspace
         settings = self.settings
         B = self.batch_size
+        rows = self._rows
         if active is None:
-            active = np.ones(B, dtype=bool)
+            rows.active.fill(True)
         else:
             active = np.asarray(active, dtype=bool)
             if active.shape != (B,):
                 raise ValueError("active must have shape ({},)".format(B))
             if not active.any():
                 raise ValueError("at least one instance must be active")
-        frozen = ~active
-        if frozen.any():
-            # Park inactive rows before references/initial states are written.
-            self._save(np.flatnonzero(frozen))
+            np.copyto(rows.active, active)
+        active = rows.active
+        index = np.flatnonzero(active)
+        rows.index[:index.size] = index
+        rows.count = index.size
 
+        # Only the requesting rows are written; the rest keep their state.
         if Xref is not None:
-            self.set_reference(Xref, Uref)
+            ws.set_reference(Xref, Uref, rows=index)
         warm = active & self._warm if settings.warm_start else np.zeros(B, bool)
         cold_index = np.flatnonzero(active & ~warm)
         if cold_index.size:
             for name in COLD_START_BUFFERS:
                 getattr(ws, name)[cold_index] = 0.0
-        ws.set_initial_state(x0)
+        ws.set_initial_state(x0, rows=index)
 
-        iterations = np.zeros(B, dtype=int)
-        converged = np.zeros(B, dtype=bool)
-        live, newly = self._live, self._newly
-        # Kernels are dispatched through the module so the benchmark harness
-        # can swap in the pre-refactor reference implementations; the mask
-        # bookkeeping reuses preallocated scratch to keep the steady-state
-        # iteration allocation-free.
-        for iteration in range(1, settings.max_iterations + 1):
-            np.logical_not(converged, out=live)
-            np.logical_and(active, live, out=live)
-            iterations[live] = iteration
-            checked = iteration % settings.check_termination_every == 0
-            # The prelude covers forward pass through residuals plus the
-            # v/z slack-iterate copy — one fused call on compiled backends.
-            kernels.iteration_prelude(ws, self.cache, with_residuals=checked)
-            if checked:
-                self._converged_mask_into(newly)
-                np.logical_and(live, newly, out=newly)
-            if checked and newly.any():
-                # Snapshot at exactly the state the scalar solver stops in.
-                self._save(np.flatnonzero(newly))
-                converged |= newly
-                frozen |= newly
-                if not (active & ~converged).any():
-                    break
-            kernels.backward_pass(ws, self.cache)
+        rows.iterations.fill(0)
+        rows.converged.fill(False)
+        # One dispatch point: the masked whole-batch loop by default, one
+        # foreign call on the c backend, the naive kernels under the
+        # benchmark harness's swap.
+        kernels.solve_rows(ws, self.cache, rows)
+        u = ws.u[index]
+        np.clip(u, self.problem.u_min, self.problem.u_max, out=u)
+        ws.u[index] = u
 
-        if frozen.any():
-            self._restore(np.flatnonzero(frozen))
-        np.clip(ws.u, self.problem.u_min, self.problem.u_max, out=ws.u)
-
-        self._warm[active] = True
+        self._warm[index] = True
         self.total_batch_solves += 1
-        self.total_instance_solves += int(active.sum())
-        self.total_iterations += int(iterations[active].sum())
+        self.total_instance_solves += index.size
+        self.total_iterations += int(rows.iterations.sum())
         return BatchTinyMPCSolution(
             states=ws.x.copy(),
             inputs=ws.u.copy(),
-            iterations=iterations,
-            converged=converged,
+            iterations=rows.iterations.copy(),
+            converged=rows.converged.copy(),
             residuals={name: np.array(getattr(ws, name), dtype=np.float64,
                                       copy=True)
                        for name in RESIDUAL_FIELDS},
-            warm_started=warm.copy(),
+            warm_started=warm,
             active=active.copy(),
         )
 
@@ -288,12 +271,47 @@ class BatchTinyMPCSolver:
             return 0.0
         return self.total_iterations / self.total_instance_solves
 
-    # -- internals -------------------------------------------------------------
-    def _converged_mask_into(self, out: np.ndarray) -> None:
-        """``out[b] = instance b satisfies the termination test`` (no allocs)."""
+
+class RowSolveBuffers:
+    """Per-solver buffers of one :meth:`BatchTinyMPCSolver.solve` dispatch.
+
+    The solver fills ``active`` (the requesting rows as a mask) and the
+    first ``count`` entries of ``index`` (the same rows as ascending
+    ``int32`` indices) and zeroes ``iterations``/``converged``;
+    :func:`repro.tinympc.kernels.solve_rows` then writes each requesting
+    row's iteration count and termination verdict.  Allocated once per
+    solver, so a compiled backend can take its pointers once (``c_pointers``
+    is its cache) and the masked loop's per-iteration bookkeeping allocates
+    nothing.  The remaining arrays serve the masked loop only: mask scratch
+    and the freeze/restore store where terminated or inactive rows park
+    their state while the rest of the batch keeps iterating.
+    """
+
+    def __init__(self, ws: BatchTinyMPCWorkspace,
+                 settings: SolverSettings) -> None:
+        B = ws.batch
+        self.workspace = ws
+        self.settings = settings
+        self.active = np.zeros(B, dtype=bool)
+        self.index = np.zeros(B, dtype=np.int32)
+        self.count = 0
+        self.iterations = np.zeros(B, dtype=np.int64)
+        self.converged = np.zeros(B, dtype=bool)
+        self.c_pointers = None
+        self.frozen = np.empty(B, dtype=bool)
+        self.live = np.empty(B, dtype=bool)
+        self.newly = np.empty(B, dtype=bool)
+        self._term = np.empty(B, dtype=bool)
+        self._store = {name: np.empty_like(getattr(ws, name))
+                       for name in WORKSPACE_BUFFERS}
+        self._residual_store = {name: np.full(B, np.inf)
+                                for name in RESIDUAL_FIELDS}
+
+    def termination_into(self, out: np.ndarray) -> None:
+        """``out[b] = row b satisfies the termination test`` (no allocs)."""
         ws = self.workspace
         settings = self.settings
-        term = self._term_scratch
+        term = self._term
         np.less(ws.primal_residual_state, settings.abs_primal_tolerance, out=out)
         np.less(ws.primal_residual_input, settings.abs_primal_tolerance, out=term)
         np.logical_and(out, term, out=out)
@@ -302,14 +320,14 @@ class BatchTinyMPCSolver:
         np.less(ws.dual_residual_input, settings.abs_dual_tolerance, out=term)
         np.logical_and(out, term, out=out)
 
-    def _save(self, index: np.ndarray) -> None:
+    def save(self, index: np.ndarray) -> None:
         ws = self.workspace
         for name in WORKSPACE_BUFFERS:
             self._store[name][index] = getattr(ws, name)[index]
         for name in RESIDUAL_FIELDS:
             self._residual_store[name][index] = getattr(ws, name)[index]
 
-    def _restore(self, index: np.ndarray) -> None:
+    def restore(self, index: np.ndarray) -> None:
         ws = self.workspace
         for name in WORKSPACE_BUFFERS:
             getattr(ws, name)[index] = self._store[name][index]

@@ -57,11 +57,13 @@ __all__ = [
 ]
 
 # Module attributes swapped when a compiled backend is installed.  The
-# compiled implementation object provides a bound method for each.
+# compiled implementation object provides a bound method for each; one it
+# lacks keeps the numpy default (numba has no ``solve_rows``, so it runs
+# the masked loop over its fused iterations).
 _DISPATCH_ATTRS: Tuple[str, ...] = (
     "forward_pass", "backward_pass", "update_slack", "update_dual",
     "update_linear_cost", "update_residuals",
-    "iteration_prelude", "admm_iteration",
+    "iteration_prelude", "admm_iteration", "solve_rows",
 )
 # ``compute_residuals`` is intentionally not swapped: its body calls
 # ``update_residuals`` through the module globals, so it follows whatever
@@ -152,7 +154,7 @@ def install_backend(impl) -> None:
         _active_name, _active_impl = "numpy", None
         return
     for attr in _DISPATCH_ATTRS:
-        setattr(_kernels, attr, getattr(impl, attr))
+        setattr(_kernels, attr, getattr(impl, attr, _NUMPY_IMPLS[attr]))
     _active_name, _active_impl = impl.name, impl
 
 

@@ -9,7 +9,9 @@ is where the speed lives), builds it with the system C compiler into a
 shared library cached on disk by content hash, and calls it through cffi's
 ABI mode.  One ``admm_iteration`` then costs two foreign calls (prelude +
 backward pass) instead of ~10 numpy ufunc/GEMV dispatches x N horizon
-steps.
+steps, and a whole batched solve costs one: ``solve_rows_f64`` runs each
+requesting row's prelude/backward loop until that row terminates (see
+:meth:`CKernels.solve_rows` and ``docs/perf.md``).
 
 Numerical contract
 ------------------
@@ -78,6 +80,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import kernels
 from .cache import LQRCache
 from .workspace import TinyMPCWorkspace
 
@@ -106,6 +109,7 @@ _HEADER = r"""
 #define NH {N}
 #define XS (NH * NX)
 #define US ((NH - 1) * NU)
+#define REFS (US + XS + NX)
 
 typedef struct {{
   double *x, *u, *q, *r, *p, *d, *v, *vnew, *z, *znew, *g, *y, *Xref, *Uref;
@@ -246,34 +250,43 @@ static inline void dual_b_{S}(const View_{S} *vw, int32_t b) {{
   for (int k = 0; k < XS; k++) g[k] += x[k] - vnew[k];
 }}
 
-static inline void cost_b_{S}(const View_{S} *vw, int32_t b) {{
-  const T rho = vw->rho;
+/* The reference terms of the linear cost, in one per-row block of REFS:
+ * -R Uref per input knot, -Q Xref per state knot, then -Pinf Xref at the
+ * last knot.  No kernel writes Xref/Uref, so a row's block stays valid for
+ * a whole solve. */
+static inline void refs_b_{S}(const View_{S} *vw, int32_t b,
+                              T *restrict refs) {{
   const T *restrict Uref = vw->Uref + (size_t)b * US;
+  const T *restrict Xref = vw->Xref + (size_t)b * XS;
+  for (int i = 0; i < NH - 1; i++)
+    mv_{S}(refs + (size_t)i * NU, Uref + (size_t)i * NU, vw->negR, NU, NU);
+  for (int i = 0; i < NH; i++)
+    mv_{S}(refs + US + (size_t)i * NX, Xref + (size_t)i * NX, vw->negQ,
+           NX, NX);
+  mv_{S}(refs + US + XS, Xref + (size_t)(NH - 1) * NX, vw->negPinf, NX, NX);
+}}
+
+static inline void cost_refs_b_{S}(const View_{S} *vw, int32_t b,
+                                   const T *restrict refs) {{
+  const T rho = vw->rho;
   const T *restrict znew = vw->znew + (size_t)b * US;
   const T *restrict y = vw->y + (size_t)b * US;
   T *restrict r = vw->r + (size_t)b * US;
-  T t_m[NU], t_n[NX];
-  for (int i = 0; i < NH - 1; i++) {{
-    const size_t o = (size_t)i * NU;
-    mv_{S}(t_m, Uref + o, vw->negR, NU, NU);
-    for (int j = 0; j < NU; j++)
-      r[o + j] = t_m[j] - rho * (znew[o + j] - y[o + j]);
-  }}
-  const T *restrict Xref = vw->Xref + (size_t)b * XS;
+  for (int k = 0; k < US; k++) r[k] = refs[k] - rho * (znew[k] - y[k]);
   const T *restrict vnew = vw->vnew + (size_t)b * XS;
   const T *restrict g = vw->g + (size_t)b * XS;
   T *restrict q = vw->q + (size_t)b * XS;
-  for (int i = 0; i < NH; i++) {{
-    const size_t o = (size_t)i * NX;
-    mv_{S}(t_n, Xref + o, vw->negQ, NX, NX);
-    for (int j = 0; j < NX; j++)
-      q[o + j] = t_n[j] - rho * (vnew[o + j] - g[o + j]);
-  }}
+  for (int k = 0; k < XS; k++) q[k] = refs[US + k] - rho * (vnew[k] - g[k]);
   const size_t last = (size_t)(NH - 1) * NX;
   T *restrict p = vw->p + (size_t)b * XS;
-  mv_{S}(t_n, Xref + last, vw->negPinf, NX, NX);
   for (int j = 0; j < NX; j++)
-    p[last + j] = t_n[j] - rho * (vnew[last + j] - g[last + j]);
+    p[last + j] = refs[US + XS + j] - rho * (vnew[last + j] - g[last + j]);
+}}
+
+static inline void cost_b_{S}(const View_{S} *vw, int32_t b) {{
+  T refs[REFS];
+  refs_b_{S}(vw, b, refs);
+  cost_refs_b_{S}(vw, b, refs);
 }}
 
 static inline void resid_b_{S}(const View_{S} *vw, int32_t b) {{
@@ -289,14 +302,22 @@ static inline void copyvz_b_{S}(const View_{S} *vw, int32_t b) {{
   memcpy(vw->z + (size_t)b * US, vw->znew + (size_t)b * US, US * sizeof(T));
 }}
 
-static inline void prelude_b_{S}(const View_{S} *vw, int32_t b,
-                                 int32_t with_residuals) {{
+static inline void prelude_refs_b_{S}(const View_{S} *vw, int32_t b,
+                                      int32_t with_residuals,
+                                      const T *restrict refs) {{
   fwd_b_{S}(vw, b);
   slack_b_{S}(vw, b);
   dual_b_{S}(vw, b);
-  cost_b_{S}(vw, b);
+  cost_refs_b_{S}(vw, b, refs);
   if (with_residuals) resid_b_{S}(vw, b);
   copyvz_b_{S}(vw, b);
+}}
+
+static inline void prelude_b_{S}(const View_{S} *vw, int32_t b,
+                                 int32_t with_residuals) {{
+  T refs[REFS];
+  refs_b_{S}(vw, b, refs);
+  prelude_refs_b_{S}(vw, b, with_residuals, refs);
 }}
 """
 
@@ -353,6 +374,42 @@ void prelude_f64(AdmmWs *ws, int32_t with_residuals) {
 void iter_f64(AdmmWs *ws, int32_t with_residuals) {
   View_f64 vw; view_f64(&vw, ws);
   LOOP_B(vw, { prelude_b_f64(&vw, b, with_residuals); bwd_b_f64(&vw, b); });
+}
+
+/* Each requesting row iterates on its own until it terminates, with the
+ * masked loop's iteration count, termination test (every check_every-th
+ * iteration, four strict < comparisons, so NaN never terminates) and
+ * stopping state: a terminating row skips that iteration's backward pass.
+ * The per-row kernels are the ones LOOP_B runs, so every row ends
+ * bit-identical to the masked loop; rows not listed are never touched.
+ * A row's reference terms are computed once per solve instead of once per
+ * iteration: the same products of the same unchanged operands. */
+void solve_rows_f64(AdmmWs *ws, const int32_t *rows, int32_t nrows,
+                    int32_t max_iterations, int32_t check_every,
+                    double primal_tol, double dual_tol,
+                    int64_t *iterations, uint8_t *converged) {
+  View_f64 vw; view_f64(&vw, ws);
+  #pragma omp parallel for schedule(dynamic) num_threads(ws->threads) if(ws->threads > 1 && nrows > 1)
+  for (int32_t k = 0; k < nrows; k++) {
+    const int32_t b = rows[k];
+    double refs[REFS];
+    refs_b_f64(&vw, b, refs);
+    int64_t used = 0;
+    uint8_t done = 0;
+    for (int32_t it = 1; it <= max_iterations; it++) {
+      used = it;
+      const int32_t checked = it % check_every == 0;
+      prelude_refs_b_f64(&vw, b, checked, refs);
+      if (checked && vw.prs[b] < primal_tol && vw.pri[b] < primal_tol
+          && vw.drs[b] < dual_tol && vw.dri[b] < dual_tol) {
+        done = 1;
+        break;
+      }
+      bwd_b_f64(&vw, b);
+    }
+    iterations[b] = used;
+    converged[b] = done;
+  }
 }
 """
 
@@ -484,6 +541,10 @@ void cost_f64(AdmmWs *ws);
 void resid_f64(AdmmWs *ws);
 void prelude_f64(AdmmWs *ws, int32_t with_residuals);
 void iter_f64(AdmmWs *ws, int32_t with_residuals);
+void solve_rows_f64(AdmmWs *ws, const int32_t *rows, int32_t nrows,
+                    int32_t max_iterations, int32_t check_every,
+                    double primal_tol, double dual_tol,
+                    int64_t *iterations, uint8_t *converged);
 void f32_prepare_ops(AdmmWs *ws);
 void forward_f32(AdmmWs *ws);
 void backward_f32(AdmmWs *ws);
@@ -854,6 +915,36 @@ class CKernels:
             ws._reset_residuals()
         binding, fn = self._entry(ws, cache, "iter")
         fn(binding.c, 1 if with_residuals else 0)
+
+    def solve_rows(self, ws, cache, rows) -> None:
+        """A whole batched solve in one call: each requesting row runs to
+        its own termination (``solve_rows_f64``) instead of the masked loop
+        running every row for as long as the slowest one.  float32 keeps
+        the masked loop over its per-iteration kernels."""
+        if rows.workspace is not ws:
+            raise ValueError("row buffers belong to another workspace")
+        binding = _binding(ws, cache)
+        if binding.dtype == "float32":
+            kernels._DEFAULT_SOLVE_ROWS(ws, cache, rows)
+            return
+        pointers = rows.c_pointers
+        if pointers is None:
+            pointers = rows.c_pointers = _row_pointers(binding.ffi, rows)
+        settings = rows.settings
+        binding.lib.solve_rows_f64(
+            binding.c, pointers[0], rows.count, settings.max_iterations,
+            settings.check_termination_every, settings.abs_primal_tolerance,
+            settings.abs_dual_tolerance, pointers[1], pointers[2])
+
+
+def _row_pointers(ffi, rows):
+    """cffi pointers to a :class:`~repro.tinympc.batch.RowSolveBuffers`'
+    index, iteration and verdict arrays (plus the buffers keeping them
+    alive); the arrays are allocated once per solver, so this runs once."""
+    keep = tuple(ffi.from_buffer(array)
+                 for array in (rows.index, rows.iterations, rows.converged))
+    return (ffi.cast("int32_t *", keep[0]), ffi.cast("int64_t *", keep[1]),
+            ffi.cast("uint8_t *", keep[2]), keep)
 
 
 def load_c_backend() -> CKernels:

@@ -48,6 +48,7 @@ __all__ = [
     "compute_residuals",
     "iteration_prelude",
     "admm_iteration",
+    "solve_rows",
     "build_iteration_program",
     "kernel_flop_breakdown",
 ]
@@ -412,12 +413,65 @@ def admm_iteration(ws: TinyMPCWorkspace, cache: LQRCache,
     backward_pass(ws, cache)
 
 
+def solve_rows(ws: TinyMPCWorkspace, cache: LQRCache, rows) -> None:
+    """Iterate the requesting rows of a batch until each one terminates.
+
+    ``rows`` is the solver's :class:`~repro.tinympc.batch.RowSolveBuffers`.
+    On entry ``rows.active`` marks the requesting rows (``rows.index[:rows
+    .count]`` lists them in ascending order) and ``rows.iterations`` /
+    ``rows.converged`` are zero.  On return those hold each requesting
+    row's iteration count and termination verdict, and every row rests in
+    the state the scalar solver stops in: a row that met the termination
+    test stays as it was right after that iteration's prelude, a row that
+    never did has run all ``max_iterations``, and rows outside the mask are
+    untouched.
+
+    This default is the masked loop: every iteration runs the whole batch,
+    because vectorizing over the batch is what makes numpy fast.  Inactive
+    rows are parked up front, a row that terminates is snapshotted at that
+    moment, and after the loop both are restored.  Compiled backends may
+    replace it with one call that iterates each requesting row on its own
+    (:mod:`repro.tinympc.compiled_c`); the kernels compute every row
+    independently, so both leave each row bit-identical.  Kernels resolve
+    through the module attributes, so the naive swap and the per-iteration
+    compiled kernels compose with it.
+    """
+    settings = rows.settings
+    active, frozen = rows.active, rows.frozen
+    iterations, converged = rows.iterations, rows.converged
+    live, newly = rows.live, rows.newly
+    np.logical_not(active, out=frozen)
+    if frozen.any():
+        rows.save(np.flatnonzero(frozen))
+    for iteration in range(1, settings.max_iterations + 1):
+        np.logical_not(converged, out=live)
+        np.logical_and(active, live, out=live)
+        iterations[live] = iteration
+        checked = iteration % settings.check_termination_every == 0
+        iteration_prelude(ws, cache, with_residuals=checked)
+        if checked:
+            rows.termination_into(newly)
+            np.logical_and(live, newly, out=newly)
+        if checked and newly.any():
+            # Snapshot at exactly the state the scalar solver stops in.
+            rows.save(np.flatnonzero(newly))
+            converged |= newly
+            frozen |= newly
+            if not (active & ~converged).any():
+                break
+        backward_pass(ws, cache)
+    if frozen.any():
+        rows.restore(np.flatnonzero(frozen))
+
+
 # Stable references to the numpy dispatching forms, used by the naive swap
 # to neutralize an installed compiled backend for the duration of its
-# context (a compiled ``iteration_prelude`` would otherwise bypass the
-# swapped per-kernel attributes).
+# context (a compiled ``iteration_prelude`` or ``solve_rows`` would
+# otherwise bypass the swapped per-kernel attributes), and by compiled
+# backends for the cases they leave to the masked loop.
 _DEFAULT_ITERATION_PRELUDE = iteration_prelude
 _DEFAULT_ADMM_ITERATION = admm_iteration
+_DEFAULT_SOLVE_ROWS = solve_rows
 
 
 # ---------------------------------------------------------------------------

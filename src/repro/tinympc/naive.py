@@ -128,10 +128,11 @@ _SWAPPED = (
     # The fused dispatch points are pinned back to their default
     # (module-attr-resolving) forms so the swapped per-kernel attributes
     # above take effect even while a compiled backend is installed
-    # (repro.tinympc.compiled replaces iteration_prelude/admm_iteration
-    # with fused foreign calls that would bypass this table).
+    # (repro.tinympc.compiled replaces iteration_prelude/admm_iteration/
+    # solve_rows with fused foreign calls that would bypass this table).
     ("iteration_prelude", kernels._DEFAULT_ITERATION_PRELUDE),
     ("admm_iteration", kernels._DEFAULT_ADMM_ITERATION),
+    ("solve_rows", kernels._DEFAULT_SOLVE_ROWS),
 )
 
 

@@ -361,10 +361,13 @@ class BatchTinyMPCWorkspace(TinyMPCWorkspace):
         """Current per-instance residuals (live ``(B,)`` views, not copies)."""
         return {name: getattr(self, name) for name in RESIDUAL_FIELDS}
 
-    def set_initial_state(self, x0: np.ndarray) -> None:
+    def set_initial_state(self, x0: np.ndarray,
+                          rows: Optional[np.ndarray] = None) -> None:
         """Set the batch of initial states from a ``(B, n)`` array.
 
-        A single ``(n,)`` state is broadcast to every instance.
+        A single ``(n,)`` state is broadcast to every instance.  ``rows``
+        (instance indices) limits the write to those instances; the other
+        rows of ``x0`` are ignored.
         """
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.ndim == 1:
@@ -372,9 +375,12 @@ class BatchTinyMPCWorkspace(TinyMPCWorkspace):
         if x0.shape != (self.batch, self.state_dim):
             raise ValueError("x0 must have shape ({}, {})".format(
                 self.batch, self.state_dim))
-        self.x[:, 0, :] = x0
+        if rows is None:
+            rows = slice(None)
+        self.x[rows, 0, :] = x0[rows]
 
-    def set_reference(self, Xref: np.ndarray, Uref: np.ndarray = None) -> None:
+    def set_reference(self, Xref: np.ndarray, Uref: np.ndarray = None,
+                      rows: Optional[np.ndarray] = None) -> None:
         """Set tracking references, broadcasting shared shapes.
 
         Accepted ``Xref`` shapes (``Uref`` is analogous with ``N-1`` and ``m``):
@@ -385,13 +391,16 @@ class BatchTinyMPCWorkspace(TinyMPCWorkspace):
         * ``(B, N, n)`` — fully per-instance trajectories.
 
         When ``B == N`` a 2-D array is interpreted as the shared-trajectory
-        case; pass the explicit 3-D shape to disambiguate.
+        case; pass the explicit 3-D shape to disambiguate.  ``rows``
+        (instance indices) limits the write to those instances.
         """
-        self.Xref[...] = self._broadcast_reference(
-            Xref, self.horizon, self.state_dim, "Xref")
+        if rows is None:
+            rows = slice(None)
+        self.Xref[rows] = self._broadcast_reference(
+            Xref, self.horizon, self.state_dim, "Xref")[rows]
         if Uref is not None:
-            self.Uref[...] = self._broadcast_reference(
-                Uref, self.horizon - 1, self.input_dim, "Uref")
+            self.Uref[rows] = self._broadcast_reference(
+                Uref, self.horizon - 1, self.input_dim, "Uref")[rows]
 
     def _broadcast_reference(self, ref: np.ndarray, length: int, width: int,
                              name: str) -> np.ndarray:

@@ -13,7 +13,9 @@ The contract under test (see :mod:`repro.fleet.scheduler`):
 * warm-start state stays resident: a group whose capacity covers its
   population never copies a slot, and a ``max_batch`` cap, which makes
   episodes hand slots over, changes no bit of any result on the numpy or
-  the c backend.
+  the c backend;
+* a group exactly as wide as the MPC horizon gives every slot its own
+  goal, so it matches the unbatched run's discrete outcomes.
 
 When ``REPRO_KERNEL_BACKEND=c`` is set, a ``c`` backend that does not
 resolve fails the c-backend cases instead of skipping them.
@@ -246,6 +248,32 @@ class TestResidentSlots:
             [EpisodeSpec(Difficulty.EASY, seed) for seed in range(5)])
         for expected, result in zip(reference, results):
             assert_discrete_exact(expected, result)
+
+
+class TestWidthEqualsHorizon:
+    """A group exactly as wide as the MPC horizon (10 slots, N = 10).
+
+    Per-slot goals must reach their own slot: a ``(B, n)`` goal array is
+    also a valid ``(N, n)`` shared trajectory when ``B == N``, and read
+    that way every slot tracked one trajectory built from all the goals.
+    """
+
+    WIDTH_TEN = CampaignSpec(
+        name="width-ten", difficulties=("easy", "medium"), seeds=range(5),
+        implementations=("scalar",), frequencies_mhz=(100.0,))
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_width_ten_group_matches_unbatched(self, backend):
+        with _backend(backend):
+            batched = run_campaign(self.WIDTH_TEN)
+            unbatched = run_campaign(self.WIDTH_TEN, batching=False)
+        horizon = EpisodeFactory().build(
+            self.WIDTH_TEN.expand()[0], 0).problem.horizon
+        assert batched.stats.groups == 1
+        assert batched.stats.max_batch_width == horizon == 10
+        assert any(result.success for result in unbatched.results)
+        for reference, result in zip(unbatched.results, batched.results):
+            assert_discrete_exact(reference, result)
 
 
 _HASHSEED_PROBE = r"""
